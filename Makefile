@@ -2,18 +2,20 @@
 # test suite (slow robustness tests included), the quick deterministic
 # differential-fuzzing tier, plus the observability-overhead,
 # span-tracing-overhead, parallel-sweep, streaming-scheduler,
-# fast-path, and fault-tolerance-overhead budget checks.
+# fast-path, and fault-tolerance-overhead budget checks, and the
+# repository benchmark's own tests (perfbench/tests).
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: verify test test-slow fuzz-quick fuzz bench-obs bench-trace \
         bench-sweep bench-scheduler bench-hotloop bench-faults \
-        bench-race bench-fleet benchgate-compare bench backfill-store
+        bench-race bench-fleet benchgate-compare bench backfill-store \
+        perfbench-test
 
 verify: test test-slow fuzz-quick bench-obs bench-trace bench-sweep \
         bench-scheduler bench-hotloop bench-faults bench-race \
-        bench-fleet benchgate-compare
+        bench-fleet benchgate-compare perfbench-test
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -66,6 +68,11 @@ bench-fleet:
 # regressed vs the version committed at HEAD (direction per gate op).
 benchgate-compare:
 	$(PYTHON) -m repro.tools.benchgate --compare
+
+# The repository benchmark (perfbench/run.py) drives the harness
+# through ExperimentSession; its tests live outside tier-1 testpaths.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Full per-figure benchmark suite (slow; regenerates paper tables).
 bench:

@@ -9,7 +9,7 @@ from repro.harness import format_result
 from repro.harness.ablations import context_switching
 
 
-def test_context_switching(runner, benchmark, show):
-    result = run_once(benchmark, context_switching, runner)
+def test_context_switching(session, benchmark, show):
+    result = run_once(benchmark, context_switching, session)
     show(format_result(result))
     gate_result(result)

@@ -10,7 +10,7 @@ from repro.harness import format_result
 from repro.harness.ablations import drc_associativity
 
 
-def test_drc_associativity(runner, benchmark, show):
-    result = run_once(benchmark, drc_associativity, runner)
+def test_drc_associativity(session, benchmark, show):
+    result = run_once(benchmark, drc_associativity, session)
     show(format_result(result))
     gate_result(result)

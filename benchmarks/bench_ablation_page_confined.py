@@ -9,7 +9,7 @@ from repro.harness import format_result
 from repro.harness.ablations import page_confined_layout
 
 
-def test_page_confined_layout(runner, benchmark, show):
-    result = run_once(benchmark, page_confined_layout, runner)
+def test_page_confined_layout(session, benchmark, show):
+    result = run_once(benchmark, page_confined_layout, session)
     show(format_result(result))
     gate_result(result)

@@ -7,7 +7,7 @@ from repro.harness import format_result
 from repro.harness.ablations import prefetcher
 
 
-def test_prefetcher(runner, benchmark, show):
-    result = run_once(benchmark, prefetcher, runner)
+def test_prefetcher(session, benchmark, show):
+    result = run_once(benchmark, prefetcher, session)
     show(format_result(result))
     gate_result(result)

@@ -8,7 +8,7 @@ from repro.harness import format_result
 from repro.harness.ablations import retaddr_policy
 
 
-def test_retaddr_policy(runner, benchmark, show):
-    result = run_once(benchmark, retaddr_policy, runner)
+def test_retaddr_policy(session, benchmark, show):
+    result = run_once(benchmark, retaddr_policy, session)
     show(format_result(result))
     gate_result(result)

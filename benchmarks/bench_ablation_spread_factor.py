@@ -9,7 +9,7 @@ from repro.harness import format_result
 from repro.harness.ablations import spread_factor
 
 
-def test_spread_factor(runner, benchmark, show):
-    result = run_once(benchmark, spread_factor, runner)
+def test_spread_factor(session, benchmark, show):
+    result = run_once(benchmark, spread_factor, session)
     show(format_result(result))
     gate_result(result)

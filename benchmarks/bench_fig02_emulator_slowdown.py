@@ -9,7 +9,7 @@ from repro.harness import format_result
 from repro.harness.experiments import fig2
 
 
-def test_fig2(runner, benchmark, show):
-    result = run_once(benchmark, fig2, runner)
+def test_fig2(session, benchmark, show):
+    result = run_once(benchmark, fig2, session)
     show(format_result(result))
     gate_result(result)

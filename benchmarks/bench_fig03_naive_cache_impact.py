@@ -9,7 +9,7 @@ from repro.harness import format_result
 from repro.harness.experiments import fig3
 
 
-def test_fig3(runner, benchmark, show):
-    result = run_once(benchmark, fig3, runner)
+def test_fig3(session, benchmark, show):
+    result = run_once(benchmark, fig3, session)
     show(format_result(result))
     gate_result(result)

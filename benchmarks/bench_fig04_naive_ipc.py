@@ -9,7 +9,7 @@ from repro.harness import format_result
 from repro.harness.experiments import fig4
 
 
-def test_fig4(runner, benchmark, show):
-    result = run_once(benchmark, fig4, runner)
+def test_fig4(session, benchmark, show):
+    result = run_once(benchmark, fig4, session)
     show(format_result(result))
     gate_result(result)

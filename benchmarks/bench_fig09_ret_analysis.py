@@ -6,7 +6,7 @@ from repro.harness import format_result
 from repro.harness.experiments import fig9
 
 
-def test_fig9(runner, benchmark, show):
-    result = run_once(benchmark, fig9, runner)
+def test_fig9(session, benchmark, show):
+    result = run_once(benchmark, fig9, session)
     show(format_result(result))
     gate_result(result)

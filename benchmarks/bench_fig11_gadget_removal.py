@@ -9,7 +9,7 @@ from repro.harness import format_result
 from repro.harness.experiments import fig11
 
 
-def test_fig11(runner, benchmark, show):
-    result = run_once(benchmark, fig11, runner)
+def test_fig11(session, benchmark, show):
+    result = run_once(benchmark, fig11, session)
     show(format_result(result))
     gate_result(result)

@@ -8,7 +8,7 @@ from repro.harness import format_result
 from repro.harness.experiments import fig12
 
 
-def test_fig12(runner, benchmark, show):
-    result = run_once(benchmark, fig12, runner)
+def test_fig12(session, benchmark, show):
+    result = run_once(benchmark, fig12, session)
     show(format_result(result))
     gate_result(result)

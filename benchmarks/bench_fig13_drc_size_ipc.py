@@ -8,7 +8,7 @@ from repro.harness import format_result
 from repro.harness.experiments import fig13
 
 
-def test_fig13(runner, benchmark, show):
-    result = run_once(benchmark, fig13, runner)
+def test_fig13(session, benchmark, show):
+    result = run_once(benchmark, fig13, session)
     show(format_result(result))
     gate_result(result)

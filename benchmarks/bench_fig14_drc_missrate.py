@@ -8,7 +8,7 @@ from repro.harness import format_result
 from repro.harness.experiments import fig14
 
 
-def test_fig14(runner, benchmark, show):
-    result = run_once(benchmark, fig14, runner)
+def test_fig14(session, benchmark, show):
+    result = run_once(benchmark, fig14, session)
     show(format_result(result))
     gate_result(result)

@@ -6,7 +6,7 @@ from repro.harness import format_result
 from repro.harness.experiments import fig15
 
 
-def test_fig15(runner, benchmark, show):
-    result = run_once(benchmark, fig15, runner)
+def test_fig15(session, benchmark, show):
+    result = run_once(benchmark, fig15, session)
     show(format_result(result))
     gate_result(result)

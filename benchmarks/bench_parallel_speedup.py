@@ -29,7 +29,7 @@ import shutil
 import tempfile
 import time
 
-from repro.harness import Runner, suite_specs
+from repro.harness import ExperimentSession, suite_specs
 from repro.harness.spec import RunSpec
 from repro.tools.benchgate import gate
 
@@ -46,19 +46,19 @@ def _suite() -> list:
     """The cold suite: every distinct cycle-simulation spec the paper
     experiments need (emulation excluded: this gate times the cycle
     simulator's sweep)."""
-    runner = Runner(max_instructions=BUDGET)
-    return [spec for spec in suite_specs(runner) if spec.is_simulation]
+    session = ExperimentSession(max_instructions=BUDGET)
+    return [spec for spec in suite_specs(session) if spec.is_simulation]
 
 
 def _timed_sweep(specs, workers=0, cache_dir=None):
-    """(seconds, results-as-dicts, runner) for one fresh sweep."""
-    runner = Runner(max_instructions=BUDGET, workers=workers,
-                    cache_dir=cache_dir)
+    """(seconds, results-as-dicts, session) for one fresh sweep."""
+    session = ExperimentSession(max_instructions=BUDGET, workers=workers,
+                                cache_dir=cache_dir)
     start = time.perf_counter()
-    runner.prefetch(specs)
+    session.prefetch(specs)
     elapsed = time.perf_counter() - start
-    results = [runner.run(spec).as_dict() for spec in specs]
-    return elapsed, results, runner
+    results = [session.run(spec).as_dict() for spec in specs]
+    return elapsed, results, session
 
 
 def test_parallel_sweep_speedup_and_warm_cache():
@@ -68,7 +68,7 @@ def test_parallel_sweep_speedup_and_warm_cache():
         seq_s, seq_results, _ = _timed_sweep(specs)
         par_s, par_results, _ = _timed_sweep(specs, workers=WORKERS,
                                              cache_dir=cache_dir)
-        warm_s, warm_results, warm_runner = _timed_sweep(
+        warm_s, warm_results, warm_session = _timed_sweep(
             specs, workers=WORKERS, cache_dir=cache_dir
         )
 
@@ -91,10 +91,10 @@ def test_parallel_sweep_speedup_and_warm_cache():
         )
 
         # Warm rerun: zero simulations, near-instant.
-        assert "simulate" not in warm_runner.profiler.stats, (
+        assert "simulate" not in warm_session.profiler.stats, (
             "warm rerun still performed cycle simulations"
         )
-        assert warm_runner.cache.stats()["hits"] == len(specs)
+        assert warm_session.cache.stats()["hits"] == len(specs)
         gate("parallel_speedup", "warm_fraction",
              round(warm_s / seq_s, 4), WARM_FRACTION_LIMIT, op="<")
 

@@ -10,7 +10,7 @@ from repro.harness import format_result
 from repro.harness.experiments import table1
 
 
-def test_table1_mode_properties(runner, benchmark, show):
-    result = run_once(benchmark, table1, runner)
+def test_table1_mode_properties(session, benchmark, show):
+    result = run_once(benchmark, table1, session)
     show(format_result(result))
     gate_result(result)

@@ -9,7 +9,7 @@ from repro.harness import format_result
 from repro.harness.experiments import table2
 
 
-def test_table2(runner, benchmark, show):
-    result = run_once(benchmark, table2, runner)
+def test_table2(session, benchmark, show):
+    result = run_once(benchmark, table2, session)
     show(format_result(result))
     gate_result(result)

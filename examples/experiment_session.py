@@ -1,8 +1,8 @@
 """The experiment-service front end: one Session, three surfaces.
 
-:class:`~repro.harness.ExperimentSession` is the single public entry
-point to the execution service (ISSUE 7).  This example walks its
-three surfaces over the same tiny design grid:
+:class:`~repro.harness.ExperimentSession` is the one public entry
+point to the execution service.  This example walks its three
+surfaces over the same tiny design grid:
 
 1. ``run(spec)`` — memoized single-spec execution, the interactive
    surface every experiment uses;

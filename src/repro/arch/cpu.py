@@ -159,10 +159,6 @@ class CycleCPU:
         self._warmup_icount = 0
         self._warmup_cycle = 0
 
-        # Opt-in per-phase host-time attribution (see run_profiled).
-        self._profiled = False
-        self._phase_times: Dict[str, float] = {}
-
         self._started = False
         self._finished = False
         self._resume_fetch_pc = 0
@@ -445,46 +441,6 @@ class CycleCPU:
         self._ensure_started()
         return self._execute_loop(self.state.icount + instructions)
 
-    def run_profiled(
-        self,
-        max_instructions: int = 1_000_000,
-        warmup_instructions: int = 0,
-        profiler=None,
-        prefix: str = "sim.",
-    ) -> SimResult:
-        """Like :meth:`run`, but attribute host wall-time to pipeline
-        phases (decode, fetch-translate, execute, cache-data,
-        branch-predict, drc, retire).
-
-        The timed loop costs a handful of ``perf_counter`` calls per
-        instruction, so it is opt-in; the always-on path stays
-        unprofiled.  When ``profiler`` (a
-        :class:`~repro.obs.profile.PhaseProfiler`) is given, the totals
-        are folded into it under ``prefix`` and mirrored as ``phase``
-        events.
-        """
-        self._phase_times = dict.fromkeys(
-            ("decode", "fetch-translate", "execute", "cache-data",
-             "branch-predict", "drc", "retire"), 0.0,
-        )
-        self._profiled = True
-        try:
-            result = self.run(max_instructions, warmup_instructions)
-        finally:
-            self._profiled = False
-        if profiler is not None:
-            for name, seconds in self._phase_times.items():
-                profiler.add(
-                    prefix + name, seconds,
-                    calls=result.instructions, **self.event_fields,
-                )
-        return result
-
-    @property
-    def phase_times(self) -> Dict[str, float]:
-        """Per-phase host seconds from the last :meth:`run_profiled`."""
-        return dict(self._phase_times)
-
     def _ensure_started(self) -> None:
         if not self._started:
             self._resume_fetch_pc = self.flow.initial_fetch_pc()
@@ -512,13 +468,10 @@ class CycleCPU:
         """Run until ``state.icount`` reaches ``budget`` or the program
         terminates; returns the termination flag.
 
-        Dispatches to one of three cycle/stat-identical loop bodies: the
-        pre-decoded block fast path (default), the per-instruction
-        reference loop (``fastpath=False``), or the reference loop's
-        timed mirror (:meth:`run_profiled`).
+        Dispatches to one of two cycle/stat-identical loop bodies: the
+        pre-decoded block fast path (default) or the per-instruction
+        reference loop (``fastpath=False``).
         """
-        if self._profiled:
-            return self._execute_loop_profiled(budget)
         if self._fastpath:
             return self._execute_loop_fast(budget)
         return self._execute_loop_ref(budget)
@@ -585,15 +538,15 @@ class CycleCPU:
 
         Replays pre-decoded op tuples (:mod:`repro.arch.blockcache`) and
         must stay cycle- and stat-identical to :meth:`_execute_loop_ref`
-        — any timing change must land in both bodies (and the profiled
-        mirror).  The interior of a block only skips work the reference
-        loop performs vacuously there: the branch unit returns a
-        stat-free ``(0, True)`` for non-control instructions, and the
-        DRC drain is a no-op without pending flow events (checked per
-        instruction, since VCFR loads from marked stack slots emit
-        events mid-block).  A block that does not fit in the remaining
-        budget is delegated whole to the reference loop, which stops at
-        exactly the boundary — so checkpoint windows clip identically.
+        — any timing change must land in both bodies.  The interior of
+        a block only skips work the reference loop performs vacuously
+        there: the branch unit returns a stat-free ``(0, True)`` for
+        non-control instructions, and the DRC drain is a no-op without
+        pending flow events (checked per instruction, since VCFR loads
+        from marked stack slots emit events mid-block).  A block that
+        does not fit in the remaining budget is delegated whole to the
+        reference loop, which stops at exactly the boundary — so
+        checkpoint windows clip identically.
 
         On top of the block tier sits the superblock trace tier
         (:mod:`repro.arch.tracecache`): the loop head dispatches hot
@@ -840,82 +793,6 @@ class CycleCPU:
         self._resume_fetch_pc = fetch_pc
         if tail:
             return self._execute_loop_ref(budget)
-        return self._finished
-
-    def _execute_loop_profiled(self, budget: int) -> bool:
-        """Timed mirror of :meth:`_execute_loop_ref`.
-
-        Keep the loop bodies (reference, fast, profiled) in lockstep
-        when changing pipeline behaviour — this variant only adds
-        ``perf_counter`` brackets that deposit per-phase host seconds
-        into ``_phase_times``.
-        """
-        state = self.state
-        flow = self.flow
-        times = self._phase_times
-        now = time.perf_counter
-        fetch_pc = self._resume_fetch_pc
-        if self._finished:
-            return True
-
-        while state.icount < budget:
-            t0 = now()
-            inst = self._fetch(fetch_pc)
-            t1 = now()
-            state.pc = flow.arch_pc_of(fetch_pc)
-            stall = self._fetch_stall(fetch_pc, inst.length)
-            t2 = now()
-            times["decode"] += t1 - t0
-            times["fetch-translate"] += t2 - t1
-
-            try:
-                kind, target = execute(inst, state, flow)
-            except ExitProgram:
-                self._finished = True
-                self.cycle += 1
-                times["execute"] += now() - t2
-                break
-            t3 = now()
-            times["execute"] += t3 - t2
-
-            stall += _EXEC_EXTRA.get(inst.mnemonic, 0)
-            stall += self._data_stall()
-            t4 = now()
-            times["cache-data"] += t4 - t3
-
-            if kind == CTRL_NONE:
-                next_fetch_pc = flow.sequential(inst)
-            elif kind == CTRL_HALT:
-                self._finished = True
-                self.cycle += 1 + stall
-                times["retire"] += now() - t4
-                break
-            else:
-                next_fetch_pc = flow.transfer(target)
-
-            branch_penalty, predicted_ok = self._branch_stall(
-                inst, kind, next_fetch_pc, target
-            )
-            stall += branch_penalty
-            t5 = now()
-            times["branch-predict"] += t5 - t4
-
-            stall += self._drc_stall(
-                fetch_waits=not predicted_ok, overlap=branch_penalty
-            )
-            t6 = now()
-            times["drc"] += t6 - t5
-
-            if self.tracer is not None:
-                self.tracer.record(
-                    inst, state.pc, fetch_pc, kind != CTRL_NONE, target
-                )
-
-            self.cycle += 1 + stall
-            fetch_pc = next_fetch_pc
-            times["retire"] += now() - t6
-
-        self._resume_fetch_pc = fetch_pc
         return self._finished
 
     # -- progress checkpoints ------------------------------------------------------------------

@@ -540,13 +540,17 @@ def run_fleet(spec: FleetSpec, config: Optional[MachineConfig] = None) -> FleetR
     )
 
 
-def _fleet_point(spec: FleetSpec) -> FleetResult:
-    return run_fleet(spec)
+def _fleet_point(spec: FleetSpec,
+                 config: Optional[MachineConfig]) -> FleetResult:
+    return run_fleet(spec, config=config)
 
 
 def sweep_fleet(specs: Iterable[FleetSpec], workers: int = 0, events=None,
-                store=None) -> List[FleetResult]:
+                store=None,
+                config: Optional[MachineConfig] = None) -> List[FleetResult]:
     """Run a grid of fleet points, optionally across a process pool.
+
+    Every point runs on the machine model ``config`` (None = default).
 
     Results come back in input order and are bit-identical between the
     sequential and pooled paths (workers compute, the parent records:
@@ -559,9 +563,10 @@ def sweep_fleet(specs: Iterable[FleetSpec], workers: int = 0, events=None,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fleet_point, specs, chunksize=1))
+            results = list(pool.map(_fleet_point, specs,
+                                    [config] * len(specs), chunksize=1))
     else:
-        results = [run_fleet(spec) for spec in specs]
+        results = [run_fleet(spec, config=config) for spec in specs]
     for result in results:
         for point in result.tenant_points():
             if events is not None:

@@ -8,7 +8,6 @@ Options:
   --json PATH             write all results as JSON ("-" for stdout)
   --events PATH           write a JSONL structured event log
   --progress              heartbeat line per simulation checkpoint
-  --profile-phases        attribute host time to CPU pipeline phases
   --checkpoint-interval N instructions between checkpoints (0 = auto)
   --workers N             parallel sweep worker processes
   --backlog N             streaming-scheduler intake window beyond workers
@@ -72,8 +71,6 @@ def main(argv=None) -> int:
                         help="include the ablation studies")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help='write results as JSON to PATH ("-" = stdout)')
-    parser.add_argument("--profile-phases", action="store_true",
-                        help="attribute host time to CPU pipeline phases")
     add_observability_options(parser)
     add_sweep_options(parser)
     add_fault_options(parser)
@@ -107,14 +104,13 @@ def main(argv=None) -> int:
         if args.dashboard:
             dashboard = Dashboard()
             dashboard.attach(events)
-        runner = ExperimentSession(
+        session = ExperimentSession(
             scale=args.scale,
             seed=args.seed,
             max_instructions=args.max_instructions,
             events=events,
             progress=args.progress,
             checkpoint_interval=args.checkpoint_interval,
-            profile_phases=args.profile_phases,
             workers=args.workers,
             backlog=args.backlog,
             cache_dir=args.cache_dir,
@@ -135,13 +131,13 @@ def main(argv=None) -> int:
         # at once instead of discovering them serially.
         if args.workers >= 2 or args.cache_dir:
             specs = suite_specs(
-                runner, [e for e in wanted if e in ALL_EXPERIMENTS]
+                session, [e for e in wanted if e in ALL_EXPERIMENTS]
             )
             start = time.time()
-            runner.prefetch(specs)
+            session.prefetch(specs)
             status("(sweep: %d specs, %d workers, %.1fs)"
                    % (len(specs), args.workers, time.time() - start))
-            for failure in runner.failures.values():
+            for failure in session.failures.values():
                 status("QUARANTINED %s after %d attempt(s) [%s]: %s"
                        % (failure.spec.label(), failure.attempts,
                           failure.kind, failure.error))
@@ -151,8 +147,8 @@ def main(argv=None) -> int:
         for exp_id in wanted:
             start = time.time()
             try:
-                with runner.profiler.phase("experiment", experiment=exp_id):
-                    result = registry[exp_id](runner)
+                with session.profiler.phase("experiment", experiment=exp_id):
+                    result = registry[exp_id](session)
             except FailedRunError as err:
                 # A quarantined spec poisons only the experiments that
                 # need it; the rest of the report still renders.
@@ -169,15 +165,15 @@ def main(argv=None) -> int:
         if dashboard is not None:
             dashboard.finish()
 
-        if runner.cache is not None:
-            stats = runner.cache.stats()
+        if session.cache is not None:
+            stats = session.cache.stats()
             status("(cache %s: %d hits, %d misses, %d writes)"
-                   % (runner.cache.root, stats["hits"], stats["misses"],
+                   % (session.cache.root, stats["hits"], stats["misses"],
                       stats["writes"]))
-        if runner.queue is not None:
-            qstats = runner.queue.stats()
+        if session.queue is not None:
+            qstats = session.queue.stats()
             status("(queue %s: %d claimed, %d yielded, %d takeovers)"
-                   % (runner.queue.owner, qstats["claimed"],
+                   % (session.queue.owner, qstats["claimed"],
                       qstats["yielded"], qstats["takeovers"]))
         fault_counters = {
             name: value
@@ -189,9 +185,9 @@ def main(argv=None) -> int:
                 "%s=%d" % (name.split(".", 1)[1], value)
                 for name, value in sorted(fault_counters.items())
             ))
-        if args.events or args.progress or args.profile_phases:
+        if args.events or args.progress:
             status("")
-            status(runner.profiler.format_table("host-time by phase"))
+            status(session.profiler.format_table("host-time by phase"))
         if args.json:
             if json_to_stdout:
                 import json as _json
@@ -205,9 +201,9 @@ def main(argv=None) -> int:
         if args.trace_out:
             count = tracer.to_chrome(args.trace_out)
             status("wrote %s (%d spans)" % (args.trace_out, count))
-        if runner.store is not None:
-            counts = runner.store.counts()
-            runner.store.close()
+        if session.store is not None:
+            counts = session.store.counts()
+            session.store.close()
             status("(store %s: %d runs, %d findings)"
                    % (args.store, counts["runs"], counts["findings"]))
         if args.events:

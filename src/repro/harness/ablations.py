@@ -24,13 +24,13 @@ from ..arch.cpu import simulate
 from ..ilr import RandomizerConfig, make_flow, randomize
 from ..workloads import build_image
 from .experiments import ExperimentResult
-from .runner import Runner
+from .session import ExperimentSession
 
 #: Apps with enough translation pressure to make ablations informative.
 ABLATION_APPS: List[str] = ["gcc", "xalan", "h264ref", "namd"]
 
 
-def drc_associativity(runner: Runner) -> ExperimentResult:
+def drc_associativity(session: ExperimentSession) -> ExperimentResult:
     """Direct-mapped vs 4-way vs fully-associative DRC at 128 entries."""
     result = ExperimentResult(
         "abl_drc_assoc", "DRC associativity ablation (128 entries)",
@@ -39,13 +39,13 @@ def drc_associativity(runner: Runner) -> ExperimentResult:
     )
     gains = []
     for app in ABLATION_APPS:
-        program = runner.program_for(runner.spec(app))
+        program = session.program_for(session.spec(app))
         by_assoc = {}
         for assoc in (1, 4, 0):
-            config = runner.base_config().with_drc(entries=128, assoc=assoc)
+            config = session.base_config().with_drc(entries=128, assoc=assoc)
             by_assoc[assoc] = simulate(
                 program.vcfr_image, make_flow("vcfr", program), config,
-                max_instructions=runner.max_instructions,
+                max_instructions=session.max_instructions,
             )
         gains.append(by_assoc[0].ipc / by_assoc[1].ipc)
         result.rows.append((
@@ -75,7 +75,7 @@ def drc_associativity(runner: Runner) -> ExperimentResult:
     return result
 
 
-def retaddr_policy(runner: Runner) -> ExperimentResult:
+def retaddr_policy(session: ExperimentSession) -> ExperimentResult:
     """Conservative (software) vs architectural (§IV-C) return-address policy."""
     result = ExperimentResult(
         "abl_retaddr", "Return-address randomization policy ablation",
@@ -84,19 +84,19 @@ def retaddr_policy(runner: Runner) -> ExperimentResult:
     )
     surface_shrinks = True
     for app in ABLATION_APPS:
-        image = build_image(app, scale=runner.scale)
-        arch = randomize(image, RandomizerConfig(seed=runner.seed))
+        image = build_image(app, scale=session.scale)
+        arch = randomize(image, RandomizerConfig(seed=session.seed))
         cons = randomize(
             image,
-            RandomizerConfig(seed=runner.seed, conservative_retaddr=True),
+            RandomizerConfig(seed=session.seed, conservative_retaddr=True),
         )
         sim_arch = simulate(
             arch.vcfr_image, make_flow("vcfr", arch),
-            runner.base_config(), max_instructions=runner.max_instructions,
+            session.base_config(), max_instructions=session.max_instructions,
         )
         sim_cons = simulate(
             cons.vcfr_image, make_flow("vcfr", cons),
-            runner.base_config(), max_instructions=runner.max_instructions,
+            session.base_config(), max_instructions=session.max_instructions,
         )
         surface_shrinks &= len(arch.rdr.redirect) <= len(cons.rdr.redirect)
         result.rows.append((
@@ -120,26 +120,26 @@ def retaddr_policy(runner: Runner) -> ExperimentResult:
     return result
 
 
-def spread_factor(runner: Runner) -> ExperimentResult:
+def spread_factor(session: ExperimentSession) -> ExperimentResult:
     """Entropy vs performance across layout spread factors."""
     result = ExperimentResult(
         "abl_spread", "Layout spread-factor ablation (VCFR vs naive)",
         ("spread", "entropy bits", "VCFR IPC", "naive IPC"),
     )
     app = "h264ref"
-    image = build_image(app, scale=runner.scale)
+    image = build_image(app, scale=session.scale)
     vcfr_ipcs, naive_ipcs, entropies = [], [], []
     for spread in (4, 16, 64):
         program = randomize(
-            image, RandomizerConfig(seed=runner.seed, spread_factor=spread)
+            image, RandomizerConfig(seed=session.seed, spread_factor=spread)
         )
         vcfr = simulate(
             program.vcfr_image, make_flow("vcfr", program),
-            runner.base_config(), max_instructions=runner.max_instructions,
+            session.base_config(), max_instructions=session.max_instructions,
         )
         naive = simulate(
             program.naive_image, make_flow("naive_ilr", program),
-            runner.base_config(), max_instructions=runner.max_instructions,
+            session.base_config(), max_instructions=session.max_instructions,
         )
         entropies.append(program.stats.entropy_bits)
         vcfr_ipcs.append(vcfr.ipc)
@@ -165,7 +165,7 @@ def spread_factor(runner: Runner) -> ExperimentResult:
     return result
 
 
-def prefetcher(runner: Runner) -> ExperimentResult:
+def prefetcher(session: ExperimentSession) -> ExperimentResult:
     """Next-line IL1 prefetcher on/off, per mode (Table I's third row)."""
     result = ExperimentResult(
         "abl_prefetch", "IL1 next-line prefetcher ablation",
@@ -173,20 +173,20 @@ def prefetcher(runner: Runner) -> ExperimentResult:
     )
     base_gains, naive_gains = [], []
     for app in ("gcc", "h264ref"):
-        program = runner.program_for(runner.spec(app))
+        program = session.program_for(session.spec(app))
         gains = {}
         for mode, image in (
             ("baseline", program.original),
             ("naive_ilr", program.naive_image),
             ("vcfr", program.vcfr_image),
         ):
-            on_cfg = runner.base_config()
-            off_cfg = runner.base_config()
+            on_cfg = session.base_config()
+            off_cfg = session.base_config()
             off_cfg.prefetch_il1 = False
             on = simulate(image, make_flow(mode, program), on_cfg,
-                          max_instructions=runner.max_instructions)
+                          max_instructions=session.max_instructions)
             off = simulate(image, make_flow(mode, program), off_cfg,
-                           max_instructions=runner.max_instructions)
+                           max_instructions=session.max_instructions)
             gains[mode] = 100 * (on.ipc / off.ipc - 1)
         base_gains.append(gains["baseline"])
         naive_gains.append(gains["naive_ilr"])
@@ -205,7 +205,7 @@ def prefetcher(runner: Runner) -> ExperimentResult:
     return result
 
 
-def context_switching(runner: Runner) -> ExperimentResult:
+def context_switching(session: ExperimentSession) -> ExperimentResult:
     """DRC cold-start sensitivity to scheduling quantum (§IV-D system impact).
 
     The paper extends the process context with the RDR tables; a context
@@ -220,11 +220,11 @@ def context_switching(runner: Runner) -> ExperimentResult:
         "abl_ctxswitch", "Context-switch (DRC cold-start) sensitivity",
         ("quantum (insts)", "IPC", "DRC miss rate"),
     )
-    program = runner.program_for(runner.spec("xalan"))
+    program = session.program_for(session.spec("xalan"))
     quanta = (100_000, 20_000, 5_000, 1_000)
     sweep = measure_switch_sensitivity(
-        program, make_flow, config=runner.base_config(), quanta=quanta,
-        max_instructions=min(runner.max_instructions, 80_000),
+        program, make_flow, config=session.base_config(), quanta=quanta,
+        max_instructions=min(session.max_instructions, 80_000),
     )
     ipcs = []
     for quantum in quanta:
@@ -247,7 +247,7 @@ def context_switching(runner: Runner) -> ExperimentResult:
     return result
 
 
-def page_confined_layout(runner: Runner) -> ExperimentResult:
+def page_confined_layout(session: ExperimentSession) -> ExperimentResult:
     """§IV-D iTLB mitigation: page-confined vs whole-region randomization."""
     from ..ilr import RandomizerConfig, make_flow, randomize
 
@@ -255,16 +255,16 @@ def page_confined_layout(runner: Runner) -> ExperimentResult:
         "abl_pageconf", "Page-confined randomization (naive-ILR iTLB relief)",
         ("layout", "entropy bits", "naive iTLB misses", "naive IPC"),
     )
-    image = build_image("gcc", scale=runner.scale)
+    image = build_image("gcc", scale=session.scale)
     rows = {}
     for confined in (False, True):
         program = randomize(
             image,
-            RandomizerConfig(seed=runner.seed, page_confined=confined),
+            RandomizerConfig(seed=session.seed, page_confined=confined),
         )
         naive = simulate(
             program.naive_image, make_flow("naive_ilr", program),
-            runner.base_config(), max_instructions=runner.max_instructions,
+            session.base_config(), max_instructions=session.max_instructions,
         )
         rows[confined] = (program.stats.entropy_bits, naive)
         result.rows.append((
@@ -301,6 +301,6 @@ ALL_ABLATIONS = {
 }
 
 
-def run_all_ablations(runner: Runner):
-    """Run every ablation, sharing the runner's caches."""
-    return {name: fn(runner) for name, fn in ALL_ABLATIONS.items()}
+def run_all_ablations(session: ExperimentSession):
+    """Run every ablation, sharing the session's caches."""
+    return {name: fn(session) for name, fn in ALL_ABLATIONS.items()}

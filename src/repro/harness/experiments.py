@@ -1,8 +1,9 @@
 """One experiment per paper table/figure.
 
-Each function takes a shared :class:`~repro.harness.runner.Runner` and
-returns an :class:`ExperimentResult` with per-application rows, a summary,
-and the paper's reference numbers for side-by-side reporting.  The
+Each function takes a shared
+:class:`~repro.harness.session.ExperimentSession` and returns an
+:class:`ExperimentResult` with per-application rows, a summary, and the
+paper's reference numbers for side-by-side reporting.  The
 ``checks`` list holds (description, bool) shape assertions — the criteria
 DESIGN.md §4 commits to.
 """
@@ -18,7 +19,7 @@ from ..arch.simstats import ratio
 from ..security import can_build_payload, scan_gadgets, survey_image
 from ..workloads import build_image
 from . import paper
-from .runner import Runner
+from .session import ExperimentSession
 from .spec import RunSpec
 
 
@@ -47,7 +48,7 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def table1(runner: Runner) -> ExperimentResult:
+def table1(session: ExperimentSession) -> ExperimentResult:
     """Differences between straightforward ILR and VCFR (Table I).
 
     The qualitative rows are *measured*, not asserted: locality is judged
@@ -59,9 +60,9 @@ def table1(runner: Runner) -> ExperimentResult:
         ("property",) + paper.TABLE1_COLUMNS,
     )
     probe = "h264ref"  # any app with a non-trivial footprint
-    base = runner.run(runner.spec(probe, "baseline"))
-    naive = runner.run(runner.spec(probe, "naive_ilr"))
-    vcfr = runner.run(runner.spec(probe, "vcfr"))
+    base = session.run(session.spec(probe, "baseline"))
+    naive = session.run(session.spec(probe, "naive_ilr"))
+    vcfr = session.run(session.spec(probe, "vcfr"))
 
     locality_naive = naive.il1_miss_rate < 2 * base.il1_miss_rate
     locality_vcfr = vcfr.il1_miss_rate < 2 * base.il1_miss_rate
@@ -93,15 +94,15 @@ def table1(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig2(runner: Runner) -> ExperimentResult:
+def fig2(session: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig2", "Software ILR emulation slowdown vs native execution",
         ("app", "native cycles", "emulator host instructions", "slowdown"),
     )
     slowdowns = []
     for app in paper.FIG2["apps"]:
-        native = runner.run(runner.spec(app, "baseline"))
-        emulated = runner.emulate(app)
+        native = session.run(session.spec(app, "baseline"))
+        emulated = session.emulate(app)
         slowdown = emulated.slowdown_vs(native.cycles)
         slowdowns.append(slowdown)
         result.rows.append(
@@ -123,15 +124,15 @@ def fig2(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig3(runner: Runner) -> ExperimentResult:
+def fig3(session: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig3", "Impact of naive hardware ILR on IL1/L2 (vs baseline)",
         ("app", "IL1 miss ratio (x)", "prefetch waste +pp", "L2 pressure +%"),
     )
     ratios, waste_deltas, pressure_deltas = [], [], []
     for app in paper.SPEC_APPS:
-        base = runner.run(runner.spec(app, "baseline"))
-        naive = runner.run(runner.spec(app, "naive_ilr"))
+        base = session.run(session.spec(app, "baseline"))
+        naive = session.run(session.spec(app, "naive_ilr"))
         miss_ratio = ratio(naive.il1_miss_rate,
                            max(base.il1_miss_rate, 1e-9))
         waste = 100 * (naive.il1_prefetch_waste_rate - base.il1_prefetch_waste_rate)
@@ -171,15 +172,15 @@ def fig3(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig4(runner: Runner) -> ExperimentResult:
+def fig4(session: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig4", "Normalized IPC of naive hardware ILR",
         ("app", "baseline IPC", "naive IPC", "normalized"),
     )
     normalized = []
     for app in paper.SPEC_APPS:
-        base = runner.run(runner.spec(app, "baseline"))
-        naive = runner.run(runner.spec(app, "naive_ilr"))
+        base = session.run(session.spec(app, "baseline"))
+        naive = session.run(session.spec(app, "naive_ilr"))
         norm = ratio(naive.ipc, base.ipc)
         normalized.append(norm)
         result.rows.append(
@@ -199,14 +200,14 @@ def fig4(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def table2(runner: Runner) -> ExperimentResult:
+def table2(session: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "table2", "Static analysis of control flow",
         ("app", "direct", "indirect", "calls", "indirect calls"),
     )
     measured: Dict[str, Tuple[int, int, int, int]] = {}
     for app in paper.SPEC_APPS:
-        image = build_image(app, scale=runner.scale)
+        image = build_image(app, scale=session.scale)
         stats = collect_stats(image)
         measured[app] = stats.as_table2_row()
         result.rows.append((app,) + stats.as_table2_row())
@@ -229,14 +230,14 @@ def table2(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig9(runner: Runner) -> ExperimentResult:
+def fig9(session: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig9", "Functions with and without ret instructions",
         ("app", "with ret", "without ret"),
     )
     with_counts, without_counts = [], []
     for app in paper.SPEC_APPS:
-        image = build_image(app, scale=runner.scale)
+        image = build_image(app, scale=session.scale)
         analysis = analyze_functions(image)
         w, wo = len(analysis.with_ret), len(analysis.without_ret)
         with_counts.append(w)
@@ -256,7 +257,7 @@ def fig9(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig11(runner: Runner) -> ExperimentResult:
+def fig11(session: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig11", "Gadgets removed by control flow randomization",
         ("app", "gadgets before", "usable after", "removed %", "payload before",
@@ -265,7 +266,7 @@ def fig11(runner: Runner) -> ExperimentResult:
     removals = []
     payload_blocked_everywhere = True
     for app in paper.SPEC_APPS:
-        program = runner.program_for(runner.spec(app))
+        program = session.program_for(session.spec(app))
         survey = survey_image(program.original, program.rdr)
         gadgets = scan_gadgets(program.original)
         before = can_build_payload(gadgets)
@@ -295,15 +296,15 @@ def fig11(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig12(runner: Runner) -> ExperimentResult:
+def fig12(session: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig12", "VCFR speedup over straightforward hardware ILR (DRC 128)",
         ("app", "naive IPC", "VCFR IPC", "speedup"),
     )
     speedups = {}
     for app in paper.SPEC_APPS:
-        naive = runner.run(runner.spec(app, "naive_ilr"))
-        vcfr = runner.run(runner.spec(app, "vcfr", drc_entries=128))
+        naive = session.run(session.spec(app, "naive_ilr"))
+        vcfr = session.run(session.spec(app, "vcfr", drc_entries=128))
         speedup = ratio(vcfr.ipc, naive.ipc)
         speedups[app] = speedup
         result.rows.append(
@@ -328,7 +329,7 @@ def fig12(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig13(runner: Runner) -> ExperimentResult:
+def fig13(session: ExperimentSession) -> ExperimentResult:
     sizes = (512, 128, 64)
     result = ExperimentResult(
         "fig13", "VCFR normalized IPC under different DRC sizes",
@@ -336,10 +337,10 @@ def fig13(runner: Runner) -> ExperimentResult:
     )
     by_size = {s: [] for s in sizes}
     for app in paper.SPEC_APPS:
-        base = runner.run(runner.spec(app, "baseline"))
+        base = session.run(session.spec(app, "baseline"))
         row = [app]
         for size in sizes:
-            vcfr = runner.run(runner.spec(app, "vcfr", drc_entries=size))
+            vcfr = session.run(session.spec(app, "vcfr", drc_entries=size))
             norm = ratio(vcfr.ipc, base.ipc)
             by_size[size].append(norm)
             row.append(round(norm, 3))
@@ -365,7 +366,7 @@ def fig13(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig14(runner: Runner) -> ExperimentResult:
+def fig14(session: ExperimentSession) -> ExperimentResult:
     sizes = (512, 128, 64)
     result = ExperimentResult(
         "fig14", "DRC miss rates under different DRC sizes",
@@ -376,7 +377,7 @@ def fig14(runner: Runner) -> ExperimentResult:
     for app in paper.SPEC_APPS:
         row = [app]
         for size in sizes:
-            vcfr = runner.run(runner.spec(app, "vcfr", drc_entries=size))
+            vcfr = session.run(session.spec(app, "vcfr", drc_entries=size))
             miss = vcfr.drc_miss_rate
             by_size[size].append(miss)
             row.append(round(miss, 4))
@@ -403,14 +404,14 @@ def fig14(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fig15(runner: Runner) -> ExperimentResult:
+def fig15(session: ExperimentSession) -> ExperimentResult:
     result = ExperimentResult(
         "fig15", "DRC dynamic power overhead (DRC 128)",
         ("app", "DRC lookups", "overhead %"),
     )
     overheads = []
     for app in paper.SPEC_APPS:
-        vcfr = runner.run(runner.spec(app, "vcfr", drc_entries=128))
+        vcfr = session.run(session.spec(app, "vcfr", drc_entries=128))
         pct = vcfr.drc_power_overhead_percent
         overheads.append(pct)
         result.rows.append((app, vcfr.drc_lookups, round(pct, 3)))
@@ -431,30 +432,26 @@ def fig15(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def gadget_window(runner: Runner) -> ExperimentResult:
+def gadget_window(session: ExperimentSession) -> ExperimentResult:
     """Gadget-availability window vs rotation cost, by policy x rate.
 
     Sweeps rotation policy against memory-disclosure rate for a
     payload-capable service tenant and reports the attacker's exposure
     (fraction of execution with a complete harvested payload, and the
     longest contiguous such window) against the defense's cost
-    (rotation cycles charged plus block/trace invalidations).  Race
-    points are seed-deterministic and bit-identical between sequential
-    and pooled execution.
+    (rotation cycles charged).  Block/trace invalidation counts are
+    host telemetry (they depend on the simulator's tiers), so they stay
+    on the race results and events, out of the table.  Race points are
+    seed-deterministic and bit-identical between sequential and pooled
+    execution.
     """
-    from ..security import (
-        AdversarySpec,
-        RaceSpec,
-        RotationPolicy,
-        sweep_race,
-    )
+    from ..security import AdversarySpec, RaceSpec, RotationPolicy
 
     result = ExperimentResult(
         "gadget_window",
         "Gadget-availability window vs rotation cost (JIT-ROP race)",
         ("policy", "disclosure rate", "exposure %", "max window (instr)",
-         "first goal @", "rotations", "rotation cycles", "blk+trc inval",
-         "IPC"),
+         "first goal @", "rotations", "rotation cycles", "IPC"),
     )
     budget = 80_000
     rates = (0.25, 0.5)
@@ -488,12 +485,7 @@ def gadget_window(runner: Runner) -> ExperimentResult:
     )
     specs.append(control_spec)
 
-    races = sweep_race(
-        specs,
-        workers=getattr(runner, "workers", 0),
-        events=getattr(runner, "events", None),
-        store=getattr(runner, "store", None),
-    )
+    races = session.race_sweep(specs)
     control = races[-1]
     by_point = {
         (race.policy, race.disclosure_rate): race for race in races[:-1]
@@ -511,7 +503,6 @@ def gadget_window(runner: Runner) -> ExperimentResult:
             else "-",
             race.rotations,
             race.rotation_cycles,
-            race.block_invalidations + race.trace_invalidations,
             round(race.ipc, 4),
         ))
 
@@ -588,7 +579,7 @@ def gadget_window(runner: Runner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def fleet(runner: Runner) -> ExperimentResult:
+def fleet(session: ExperimentSession) -> ExperimentResult:
     """Per-tenant tail latency and IPC fairness for a protected fleet.
 
     Four VCFR tenants serve open-loop traffic over two cores behind a
@@ -598,7 +589,7 @@ def fleet(runner: Runner) -> ExperimentResult:
     points are seed-deterministic and bit-identical between sequential
     and pooled execution.
     """
-    from ..fleet import ArrivalSpec, FleetSpec, sweep_fleet
+    from ..fleet import ArrivalSpec, FleetSpec
 
     result = ExperimentResult(
         "fleet",
@@ -616,12 +607,7 @@ def fleet(runner: Runner) -> ExperimentResult:
         FleetSpec(tenants=4, cores=1, arrival=poisson),
         FleetSpec(tenants=1, cores=1, arrival=poisson),
     ]
-    points = sweep_fleet(
-        specs,
-        workers=getattr(runner, "workers", 0),
-        events=getattr(runner, "events", None),
-        store=getattr(runner, "store", None),
-    )
+    points = session.fleet_sweep(specs)
     wide, wide_bursty, narrow, lone = points
 
     for spec, point in zip(specs, points):
@@ -704,7 +690,7 @@ def fleet(runner: Runner) -> ExperimentResult:
 
 
 #: Ordered registry of every experiment.
-ALL_EXPERIMENTS: Dict[str, Callable[[Runner], ExperimentResult]] = {
+ALL_EXPERIMENTS: Dict[str, Callable[[ExperimentSession], ExperimentResult]] = {
     "table1": table1,
     "fig2": fig2,
     "fig3": fig3,
@@ -726,7 +712,7 @@ ALL_EXPERIMENTS: Dict[str, Callable[[Runner], ExperimentResult]] = {
 # ---------------------------------------------------------------------------
 
 #: Declarative run requirements per experiment: (apps, mode, drc_entries)
-#: groups, expanded against the runner's defaults by :func:`suite_specs`.
+#: groups, expanded against the session's defaults by :func:`suite_specs`.
 #: Static experiments (table2, fig9, fig11) need programs, not runs.
 _EXPERIMENT_RUNS: Dict[str, List[Tuple[Sequence[str], str, int]]] = {
     "table1": [(("h264ref",), "baseline", 0),
@@ -749,7 +735,7 @@ _EXPERIMENT_RUNS: Dict[str, List[Tuple[Sequence[str], str, int]]] = {
 }
 
 
-def suite_specs(runner: Runner,
+def suite_specs(session: ExperimentSession,
                 experiments: Sequence[str] = ()) -> List[RunSpec]:
     """Every :class:`RunSpec` the named experiments will ask for.
 
@@ -764,22 +750,22 @@ def suite_specs(runner: Runner,
     for exp_id in wanted:
         for apps, mode, drc_entries in _EXPERIMENT_RUNS.get(exp_id, ()):
             for app in apps:
-                specs.append(runner.spec(app, mode, drc_entries))
+                specs.append(session.spec(app, mode, drc_entries))
     return list(dict.fromkeys(specs))
 
 
-def run_all(runner: Runner,
+def run_all(session: ExperimentSession,
             experiments: Sequence[str] = ()) -> Dict[str, ExperimentResult]:
-    """Run every experiment (or the named subset), sharing the runner's
+    """Run every experiment (or the named subset), sharing the session's
     caches.
 
-    When the runner has a worker pool or a persistent result cache, the
+    When the session has a worker pool or a persistent result cache, the
     suite's full spec list is prefetched first — simulations fan out in
     parallel and/or load from disk, and the experiment functions then
     assemble their tables from memoized results.  Row values are
     bit-identical to a plain sequential run either way.
     """
     wanted = list(experiments) or list(ALL_EXPERIMENTS)
-    if runner.workers >= 2 or runner.cache is not None:
-        runner.prefetch(suite_specs(runner, wanted))
-    return {name: ALL_EXPERIMENTS[name](runner) for name in wanted}
+    if session.workers >= 2 or session.cache is not None:
+        session.prefetch(suite_specs(session, wanted))
+    return {name: ALL_EXPERIMENTS[name](session) for name in wanted}

@@ -1,9 +1,9 @@
 """Streaming asyncio sweep scheduler: the experiment-service core.
 
-ISSUE 7 replaces the one-shot ``sweep(list_of_specs)`` fan-out with a
-**streaming** engine: :class:`AsyncScheduler` consumes ``RunSpec``\\ s
-from any iterable — including generators that enumerate a million-spec
-design grid lazily — and yields :class:`~repro.harness.sweep.
+The harness runs every spec through one **streaming** engine:
+:class:`AsyncScheduler` consumes ``RunSpec``\\ s from any iterable —
+including generators that enumerate a million-spec design grid
+lazily — and yields :class:`~repro.harness.sweep.
 SweepOutcome`\\ s in input order as they resolve.  At most
 ``workers + backlog`` specs are ever materialized but unemitted
 (:attr:`AsyncScheduler.high_water` records the observed maximum), so
@@ -76,7 +76,6 @@ from .sweep import (
     RetryPolicy,
     SweepOutcome,
     _commit_result,
-    _interval_fn,
     _pool_task,
     _result_digest,
     _spec_key,
@@ -209,6 +208,12 @@ class _PoolState:
                 pool.shutdown(wait=False, cancel_futures=True)
 
 
+def _interval_fn(checkpoint_interval) -> Callable[[RunSpec], int]:
+    if callable(checkpoint_interval):
+        return checkpoint_interval
+    return lambda spec: int(checkpoint_interval)
+
+
 class AsyncScheduler:
     """Streaming, cache-aware, fault-tolerant RunSpec scheduler.
 
@@ -217,9 +222,7 @@ class AsyncScheduler:
     config, workers, cache/store/tracer/events, retry, faults — and
     iterate :meth:`stream` over any spec iterable.  The
     :class:`~repro.harness.session.ExperimentSession` facade constructs
-    schedulers for callers; the deprecated
-    :func:`~repro.harness.sweep.sweep` shim adapts list-in/list-out
-    callers onto it.
+    schedulers for callers.
     """
 
     def __init__(
@@ -232,7 +235,6 @@ class AsyncScheduler:
         events: Optional[EventLog] = None,
         profiler: Optional[PhaseProfiler] = None,
         checkpoint_interval=0,
-        profile_phases: bool = False,
         on_checkpoint_for: Optional[Callable] = None,
         program_cache: Optional[dict] = None,
         retry: Optional[RetryPolicy] = None,
@@ -248,7 +250,6 @@ class AsyncScheduler:
         self.events = events if events is not None else EventLog()
         self.profiler = profiler or PhaseProfiler(self.events)
         self.interval_for = _interval_fn(checkpoint_interval)
-        self.profile_phases = profile_phases
         self.on_checkpoint_for = on_checkpoint_for
         self.program_cache = program_cache
         self.retry = retry or DEFAULT_RETRY
@@ -412,7 +413,6 @@ class AsyncScheduler:
                             checkpoint_interval=self.interval_for(spec),
                             on_checkpoint=on_checkpoint,
                             profiler=self.profiler,
-                            profile_phases=self.profile_phases,
                             program_cache=self.program_cache,
                             tracer=tracer,
                         )
@@ -666,8 +666,8 @@ class AsyncScheduler:
             try:
                 future = loop.run_in_executor(
                     pool, _pool_task, spec.as_dict(), self.config,
-                    self.interval_for(spec), self.profile_phases,
-                    attempt, self.faults, self.tracer.enabled)
+                    self.interval_for(spec), attempt, self.faults,
+                    self.tracer.enabled)
             except BrokenProcessPool:
                 # Died between attempts: this attempt never started, so
                 # recycle the pool and resubmit without penalty.

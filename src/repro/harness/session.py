@@ -1,9 +1,6 @@
-"""ExperimentSession: the unified front end of the experiment service.
+"""ExperimentSession: the one front end of the experiment service.
 
-ISSUE 7's API redesign collapses the harness's accumulated entry points
-— ``Runner`` construction knobs, the batch ``sweep()`` call, cache and
-store wiring, tracer/event plumbing — into **one object** that holds
-the complete experiment policy:
+One object holds the complete experiment policy:
 
 * *what to run*: :meth:`spec`, or any iterable/generator of
   :class:`~repro.harness.spec.RunSpec`\\ s;
@@ -25,17 +22,15 @@ The three execution surfaces, from largest to smallest:
 
 ``sweep(specs)`` / ``prefetch(specs)``
     Batch conveniences: materialize a list, deduplicate, return/memoize
-    outcomes — what the deprecated module-level
-    :func:`repro.harness.sweep.sweep` adapts onto.
+    outcomes.
 
 ``run(spec)`` / ``emulate(name)``
     Single-result lookups: memo, then disk cache, then execution
     (raising :class:`~repro.harness.sweep.FailedRunError` for
     quarantined specs).
 
-:class:`~repro.harness.runner.Runner` is the legacy face of the same
-object — it subclasses ``ExperimentSession`` with the historical
-dataclass constructor and survives as a deprecated-but-exact shim.
+The race and fleet scenarios run through :meth:`race_sweep` /
+:meth:`fleet_sweep` under the same machine model and recording policy.
 """
 
 from __future__ import annotations
@@ -84,19 +79,7 @@ class ExperimentSession:
                                store_path="runs.sqlite") as session:
             for outcome in session.stream(grid()):   # any generator
                 ...
-
-    Attribute names are shared with the legacy :class:`~repro.harness.
-    runner.Runner` dataclass (which subclasses this), so experiment
-    code that duck-types ``runner.workers`` / ``runner.cache`` /
-    ``runner.profiler`` works with either face.
     """
-
-    # Class-level fallbacks so the legacy Runner subclass (whose
-    # dataclass fields predate these knobs) inherits sane defaults.
-    backlog: Optional[int] = None
-    queue = None
-    queue_owner: Optional[str] = None
-    queue_stale_after: float = DEFAULT_STALE_AFTER
 
     def __init__(
         self,
@@ -109,7 +92,6 @@ class ExperimentSession:
         events: Optional[EventLog] = None,
         progress: bool = False,
         checkpoint_interval: int = 0,
-        profile_phases: bool = False,
         workers: int = 0,
         backlog: Optional[int] = None,
         cache: Optional[ResultCache] = None,
@@ -128,49 +110,36 @@ class ExperimentSession:
         self.seed = seed
         self.max_instructions = max_instructions
         self.warmup_instructions = warmup_instructions
-        self.events = events
+        self.events = events if events is not None else EventLog()
         self.progress = progress
         self.checkpoint_interval = checkpoint_interval
-        self.profile_phases = profile_phases
         self.workers = workers
         self.backlog = backlog
+        if cache is None and cache_dir:
+            cache = ResultCache(cache_dir)
         self.cache = cache
-        self.cache_dir = cache_dir
         self.retry = retry
         self.faults = faults
         self.tracer = tracer
+        if store is None and store_path:
+            store = RunStore(store_path)
         self.store = store
-        self.store_path = store_path
+        if queue is True:
+            if cache is None:
+                raise ValueError(
+                    "a work queue needs a shared cache: pass cache_dir "
+                    "(or a ResultCache) alongside queue=True"
+                )
+            queue = WorkQueue(cache, owner=queue_owner,
+                              stale_after=queue_stale_after)
         self.queue = queue
-        self.queue_owner = queue_owner
-        self.queue_stale_after = queue_stale_after
+        #: host wall-time attribution across harness stages.
+        self.profiler = PhaseProfiler(self.events)
         self._programs: Dict[ProgramKey, RandomizedProgram] = {}
         self._sims: Dict[RunSpec, SimResult] = {}
         self._emulations: Dict[RunSpec, EmulationResult] = {}
         #: quarantined specs from past sweeps: spec -> FailedRun.
         self.failures: Dict[RunSpec, FailedRun] = {}
-        self._finish_init()
-
-    def _finish_init(self) -> None:
-        """Resolve paths/policies into live objects (shared with the
-        Runner dataclass's ``__post_init__``)."""
-        if self.events is None:
-            self.events = EventLog()
-        if self.cache is None and self.cache_dir:
-            self.cache = ResultCache(self.cache_dir)
-        if self.store is None and self.store_path:
-            self.store = RunStore(self.store_path)
-        if self.queue is True:
-            if self.cache is None:
-                raise ValueError(
-                    "a work queue needs a shared cache: pass cache_dir "
-                    "(or a ResultCache) alongside queue=True"
-                )
-            self.queue = WorkQueue(self.cache, owner=self.queue_owner,
-                                   stale_after=self.queue_stale_after)
-        #: host wall-time attribution across harness stages (and, with
-        #: ``profile_phases``, the CPU pipeline phases under ``sim.*``).
-        self.profiler = PhaseProfiler(self.events)
 
     # -- policy ------------------------------------------------------------
 
@@ -233,7 +202,6 @@ class ExperimentSession:
             events=self.events,
             profiler=self.profiler,
             checkpoint_interval=self._interval_for,
-            profile_phases=self.profile_phases,
             on_checkpoint_for=self._heartbeat,
             program_cache=self._programs,
             retry=self.retry,
@@ -369,14 +337,16 @@ class ExperimentSession:
     def race_sweep(self, specs):
         """Run rotation-vs-adversary race points under session policy.
 
-        Uses the session's worker count for pooled execution and its
-        event log / run store for recording; results are bit-identical
-        either way (see :func:`repro.security.race.sweep_race`).
+        Uses the session's machine model, its worker count for pooled
+        execution and its event log / run store for recording; results
+        are bit-identical either way (see
+        :func:`repro.security.race.sweep_race`).
         """
         from ..security.race import sweep_race
 
         return sweep_race(
             specs,
+            config=self.base_config(),
             workers=self.workers,
             events=self.events,
             store=self.store,
@@ -387,14 +357,15 @@ class ExperimentSession:
     def fleet_sweep(self, specs):
         """Run multi-tenant fleet points under session policy.
 
-        Uses the session's worker count for pooled execution and its
-        event log / run store for recording; results are bit-identical
-        either way (see :func:`repro.fleet.sweep_fleet`).
+        Uses the session's machine model, its worker count for pooled
+        execution and its event log / run store for recording; results
+        are bit-identical either way (see :func:`repro.fleet.sweep_fleet`).
         """
         from ..fleet import sweep_fleet
 
         return sweep_fleet(
             specs,
+            config=self.base_config(),
             workers=self.workers,
             events=self.events,
             store=self.store,

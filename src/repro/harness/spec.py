@@ -1,7 +1,8 @@
 """RunSpec: the single currency describing one simulation run.
 
-Every layer of the harness — :class:`~repro.harness.runner.Runner`, the
-parallel sweep engine (:mod:`repro.harness.sweep`), the on-disk result
+Every layer of the harness — :class:`~repro.harness.session.
+ExperimentSession`, the streaming scheduler
+(:mod:`repro.harness.scheduler`), the on-disk result
 cache (:mod:`repro.harness.resultcache`), CLI flags, and event-log
 fields — identifies a run by one frozen, hashable, serializable
 :class:`RunSpec` instead of ad-hoc ``(name, mode, drc_entries)`` tuples.
@@ -48,8 +49,9 @@ class RunSpec:
     Instances are hashable (dict keys, set members), comparable, and
     round-trip through :meth:`as_dict`/:meth:`from_dict` for process
     boundaries and the on-disk cache.  Construct via
-    :meth:`Runner.spec() <repro.harness.runner.Runner.spec>` to inherit
-    the runner's seed/scale/budget defaults, or directly when all fields
+    :meth:`ExperimentSession.spec()
+    <repro.harness.session.ExperimentSession.spec>` to inherit the
+    session's seed/scale/budget defaults, or directly when all fields
     are known.
     """
 
@@ -77,7 +79,7 @@ class RunSpec:
         Non-VCFR modes ignore the DRC, so their ``drc_entries`` is
         forced to 0 (making ``baseline@64`` and ``baseline@512`` the
         *same* run, as they are in the simulator); a VCFR spec with no
-        DRC size gets the paper default.  Cache keys and runner memo
+        DRC size gets the paper default.  Cache keys and session memo
         keys are always computed on the normalized spec.
         """
         entries = self.drc_entries

@@ -68,10 +68,9 @@ class PhaseProfiler:
             **fields) -> None:
         """Fold externally-measured time into phase ``name``.
 
-        Hot loops (e.g. the profiled pipeline loop in
-        :mod:`repro.arch.cpu`) time sections with raw ``perf_counter``
-        arithmetic and deposit totals here once per run, instead of
-        entering a context manager per instruction.
+        For callers that time sections of a hot loop with raw
+        ``perf_counter`` arithmetic and deposit the totals once, instead
+        of entering a context manager per iteration.
         """
         stat = self.stats.get(name)
         if stat is None:

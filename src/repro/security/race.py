@@ -341,13 +341,17 @@ def run_race(spec: RaceSpec, events=None, tracer=None,
     )
 
 
-def _race_point(spec: RaceSpec) -> RaceResult:
-    return run_race(spec)
+def _race_point(spec: RaceSpec,
+                config: Optional[MachineConfig]) -> RaceResult:
+    return run_race(spec, config=config)
 
 
 def sweep_race(specs: Iterable[RaceSpec], workers: int = 0, events=None,
-               store=None) -> List[RaceResult]:
+               store=None,
+               config: Optional[MachineConfig] = None) -> List[RaceResult]:
     """Run a grid of race points, optionally across a process pool.
+
+    Every point runs on the machine model ``config`` (None = default).
 
     Results come back in input order and are bit-identical between the
     sequential and pooled paths (workers compute, the parent records:
@@ -360,9 +364,10 @@ def sweep_race(specs: Iterable[RaceSpec], workers: int = 0, events=None,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_race_point, specs, chunksize=1))
+            results = list(pool.map(_race_point, specs,
+                                    [config] * len(specs), chunksize=1))
     else:
-        results = [run_race(spec) for spec in specs]
+        results = [run_race(spec, config=config) for spec in specs]
     for result in results:
         if events is not None:
             events.emit("race_point", **result.as_dict())

@@ -24,16 +24,11 @@ from repro.harness.faults import (
     apply_inline_fault,
 )
 from repro.harness.resultcache import ResultCache
-from repro.harness.runner import Runner
+from repro.harness.session import ExperimentSession
 from repro.harness.spec import RunSpec
-from repro.harness.sweep import (
-    FailedRunError,
-    RetryPolicy,
-    sweep,
-)
+from repro.harness.sweep import FailedRunError, RetryPolicy
 from repro.obs.events import EventLog, MemorySink
 from repro.obs.metrics import get_registry
-from repro.obs.profile import PhaseProfiler
 
 BUDGET = 3000
 SPECS = [
@@ -46,17 +41,43 @@ SPECS = [
 #: Fast backoff so the suite spends its time simulating, not sleeping.
 RETRY = RetryPolicy(max_attempts=3, backoff=0.01)
 
+#: Checkpoint cadence for sweeps that record events.  A session with a
+#: live event log checkpoints its runs (0 means "auto"), so those tests
+#: pin the cadence and compare against a reference taken at the same one.
+CHECKPOINT = 1000
+
+
+def run_sweep(specs, **kwargs):
+    """One batch sweep through a fresh session."""
+    return ExperimentSession(**kwargs).sweep(specs)
+
 
 def serialized(outcomes):
-    """Canonical byte-comparable form of a sweep's merged results."""
-    return [json.dumps(o.result.as_dict(), sort_keys=True)
-            for o in outcomes]
+    """Canonical byte-comparable form of a sweep's merged results.
+
+    A checkpoint's ``host_seconds`` is host wall time, the one field of
+    a result that is not a function of its spec; it is left out.
+    """
+    docs = []
+    for outcome in outcomes:
+        doc = outcome.result.as_dict()
+        for checkpoint in doc.get("checkpoints", ()):
+            checkpoint.pop("host_seconds")
+        docs.append(json.dumps(doc, sort_keys=True))
+    return docs
 
 
 @pytest.fixture(scope="module")
 def clean_reference():
     """The clean sequential sweep every fault schedule must reproduce."""
-    return serialized(sweep(SPECS, workers=0))
+    return serialized(run_sweep(SPECS, workers=0))
+
+
+@pytest.fixture(scope="module")
+def checkpointed_reference():
+    """The clean sequential sweep at the :data:`CHECKPOINT` cadence."""
+    return serialized(run_sweep(SPECS, workers=0,
+                                checkpoint_interval=CHECKPOINT))
 
 
 # -- plan parsing and determinism -------------------------------------------
@@ -144,14 +165,14 @@ class TestFaultDifferential:
     def test_recovered_pooled_sweep_is_bit_identical(
             self, plan_text, clean_reference):
         plan = FaultPlan.from_string(plan_text)
-        outcomes = sweep(SPECS, workers=2, retry=RETRY, faults=plan)
+        outcomes = run_sweep(SPECS, workers=2, retry=RETRY, faults=plan)
         assert all(o.ok for o in outcomes)
         assert serialized(outcomes) == clean_reference
         assert any(o.attempts > 1 for o in outcomes)
 
     def test_inline_sweep_recovers_identically(self, clean_reference):
         plan = FaultPlan.from_string("raise@mcf/baseline#0,raise@mcf/baseline#1")
-        outcomes = sweep(SPECS, workers=0, retry=RETRY, faults=plan)
+        outcomes = run_sweep(SPECS, workers=0, retry=RETRY, faults=plan)
         assert all(o.ok for o in outcomes)
         assert serialized(outcomes) == clean_reference
         assert outcomes[0].attempts == 3
@@ -162,7 +183,7 @@ class TestFaultDifferential:
             "crash@mcf/baseline#0,crash@mcf/baseline#1,crash@mcf/baseline#2"
         )
         get_registry().reset()
-        outcomes = sweep(SPECS, workers=2, retry=RETRY, faults=plan)
+        outcomes = run_sweep(SPECS, workers=2, retry=RETRY, faults=plan)
         assert len(outcomes) == len(SPECS)  # reported, never dropped
         failed = outcomes[0]
         assert not failed.ok and failed.result is None
@@ -180,19 +201,21 @@ class TestFaultDifferential:
     def test_inline_quarantine_raises_only_on_demand(self):
         plan = FaultPlan.from_string("raise@mcf/baseline#0,raise@mcf/baseline#1,"
                                      "raise@mcf/baseline#2")
-        outcomes = sweep(SPECS[:2], workers=0, retry=RETRY, faults=plan)
+        outcomes = run_sweep(SPECS[:2], workers=0, retry=RETRY,
+                             faults=plan)
         assert not outcomes[0].ok and outcomes[0].failure.kind == "raise"
         assert outcomes[1].ok
-        # The Runner surfaces quarantine as a typed error.
-        runner = Runner(max_instructions=BUDGET, retry=RETRY, faults=plan)
+        # The session surfaces quarantine as a typed error.
+        session = ExperimentSession(max_instructions=BUDGET, retry=RETRY,
+                                    faults=plan)
         with pytest.raises(FailedRunError) as err:
-            runner.run(SPECS[0])
+            session.run(SPECS[0])
         assert err.value.failure.kind == "raise"
 
     def test_timeout_abandons_hung_attempt(self, clean_reference):
         plan = FaultPlan.from_string("hang@mcf/baseline#0,hang=5")
         get_registry().reset()
-        outcomes = sweep(
+        outcomes = run_sweep(
             SPECS, workers=2,
             retry=RetryPolicy(max_attempts=3, timeout=1.0, backoff=0.01),
             faults=plan,
@@ -207,10 +230,10 @@ class TestFaultDifferential:
         # observable fields.  A clean pooled run must not be rejected
         # as corrupt, and a corrupted one must be retried.
         specs = [RunSpec("mcf", "emulate", max_instructions=BUDGET)]
-        ref = sweep(specs, workers=0)[0].result
+        ref = run_sweep(specs, workers=0)[0].result
         plan = FaultPlan.from_string("corrupt@mcf/emulate#0")
         get_registry().reset()
-        outcome = sweep(specs, workers=2, retry=RETRY, faults=plan)[0]
+        outcome = run_sweep(specs, workers=2, retry=RETRY, faults=plan)[0]
         assert outcome.ok and outcome.attempts == 2
         assert outcome.result.run.snapshot() == ref.run.snapshot()
         assert outcome.result.host_instructions == ref.host_instructions
@@ -224,33 +247,37 @@ class TestFaultDifferential:
 class TestResumability:
     def test_results_commit_as_they_finish(self, tmp_path, clean_reference):
         cache = ResultCache(str(tmp_path))
-        outcomes = sweep(SPECS, workers=2, cache=cache, retry=RETRY)
+        outcomes = run_sweep(SPECS, workers=2, cache=cache, retry=RETRY)
         assert cache.writes == len(SPECS)
         # A fresh sweep over the same cache re-executes nothing.
         warm = ResultCache(str(tmp_path))
-        rerun = sweep(SPECS, workers=0, cache=warm)
+        rerun = run_sweep(SPECS, workers=0, cache=warm)
         assert all(o.cached for o in rerun)
         assert serialized(rerun) == serialized(outcomes) == clean_reference
 
     def test_cache_write_failure_is_nonfatal(self, tmp_path,
-                                             clean_reference):
+                                             clean_reference,
+                                             checkpointed_reference):
         plan = FaultPlan.from_string("cachefail@mcf/baseline#0")
         cache = ResultCache(str(tmp_path))
         sink = MemorySink()
         get_registry().reset()
-        outcomes = sweep(SPECS, workers=2, cache=cache, retry=RETRY,
-                         faults=plan, events=EventLog(sink))
-        assert serialized(outcomes) == clean_reference  # result kept
+        outcomes = run_sweep(SPECS, workers=2, cache=cache, retry=RETRY,
+                             faults=plan, events=EventLog(sink),
+                             checkpoint_interval=CHECKPOINT)
+        assert serialized(outcomes) == checkpointed_reference  # result kept
         assert cache.writes == len(SPECS) - 1
         counters = get_registry().counters("sweep.")
         assert counters["sweep.cache_write_errors"] == 1
         assert any(r["kind"] == "status" and "cache write failed"
                    in r.get("message", "") for r in sink.records)
-        # Resume recomputes only the uncommitted spec.
+        # Resume recomputes only the uncommitted spec (cache entries
+        # are keyed by spec and machine, not by checkpoint cadence).
         warm = ResultCache(str(tmp_path))
-        rerun = sweep(SPECS, workers=0, cache=warm)
+        rerun = run_sweep(SPECS, workers=0, cache=warm)
         assert [o.cached for o in rerun] == [False, True, True, True]
-        assert serialized(rerun) == clean_reference
+        assert serialized(rerun[:1]) == clean_reference[:1]
+        assert serialized(rerun[1:]) == checkpointed_reference[1:]
 
 
 # -- idempotent observability ------------------------------------------------
@@ -259,15 +286,16 @@ class TestResumability:
 @pytest.mark.faults
 class TestIdempotentObservability:
     def test_retried_specs_merge_observability_exactly_once(
-            self, clean_reference):
+            self, checkpointed_reference):
         sink = MemorySink()
-        profiler = PhaseProfiler()
         get_registry().reset()
         plan = FaultPlan.from_string("raise@mcf/baseline#0,"
                                      "crash@bzip2/naive_ilr#0")
-        outcomes = sweep(SPECS, workers=2, retry=RETRY, faults=plan,
-                         events=EventLog(sink), profiler=profiler)
-        assert serialized(outcomes) == clean_reference
+        session = ExperimentSession(workers=2, retry=RETRY, faults=plan,
+                                    events=EventLog(sink),
+                                    checkpoint_interval=CHECKPOINT)
+        outcomes = session.sweep(SPECS)
+        assert serialized(outcomes) == checkpointed_reference
 
         # Exactly one run_start/run_end pair per spec, in input order,
         # no matter how many attempts it took.
@@ -279,13 +307,14 @@ class TestIdempotentObservability:
         # Metrics from failed attempts never reach the parent registry.
         assert get_registry().counters()["sim.runs"] == len(SPECS)
         # Phase totals likewise fold in once per spec.
-        assert profiler.stats["simulate"].calls == len(SPECS)
+        assert session.profiler.stats["simulate"].calls == len(SPECS)
 
     def test_replayed_records_carry_their_attempt_id(self):
         sink = MemorySink()
         plan = FaultPlan.from_string("raise@mcf/baseline#0")
-        outcomes = sweep(SPECS[:1], workers=2, retry=RETRY, faults=plan,
-                         events=EventLog(sink))
+        outcomes = run_sweep(SPECS[:1], workers=2, retry=RETRY,
+                             faults=plan, events=EventLog(sink),
+                             checkpoint_interval=CHECKPOINT)
         assert outcomes[0].attempts == 2
         replayed = [r for r in sink.records
                     if r["kind"] in ("run_start", "run_end")]
@@ -300,8 +329,8 @@ class TestIdempotentObservability:
 _RESUME_SCRIPT = r"""
 import json, sys
 from repro.harness.resultcache import ResultCache
+from repro.harness.session import ExperimentSession
 from repro.harness.spec import RunSpec
-from repro.harness.sweep import sweep
 
 root, budget = sys.argv[1], int(sys.argv[2])
 specs = [
@@ -312,7 +341,8 @@ specs = [
     RunSpec("gcc", "baseline", max_instructions=budget),
     RunSpec("gcc", "vcfr", drc_entries=512, max_instructions=budget),
 ]
-outcomes = sweep(specs, workers=2, cache=ResultCache(root))
+session = ExperimentSession(workers=2, cache=ResultCache(root))
+outcomes = session.sweep(specs)
 print(json.dumps({
     "cached": [o.cached for o in outcomes],
     "results": [json.dumps(o.result.as_dict(), sort_keys=True)
@@ -331,8 +361,11 @@ def test_sigkilled_sweep_resumes_from_committed_results(tmp_path):
     env = dict(os.environ, PYTHONPATH="src")
     cmd = [sys.executable, "-c", _RESUME_SCRIPT, root, str(budget)]
 
+    # Its own session, so the kill takes the pool workers down with the
+    # sweep (killing only the parent leaves them running as orphans).
     victim = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL)
+                              stderr=subprocess.DEVNULL,
+                              start_new_session=True)
     # Wait for at least one committed entry, then kill -9 the sweep.
     deadline = time.time() + 120
     def entries():
@@ -340,7 +373,10 @@ def test_sigkilled_sweep_resumes_from_committed_results(tmp_path):
                 if not f.startswith(".tmp-")]
     while time.time() < deadline and victim.poll() is None and not entries():
         time.sleep(0.02)
-    victim.kill()
+    try:
+        os.killpg(victim.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the whole group already exited
+        pass
     victim.wait()
     committed = len(entries())
     assert committed >= 1, "sweep was killed before any result committed"
@@ -363,7 +399,7 @@ def test_sigkilled_sweep_resumes_from_committed_results(tmp_path):
         RunSpec("gcc", "baseline", max_instructions=budget),
         RunSpec("gcc", "vcfr", drc_entries=512, max_instructions=budget),
     ]
-    clean = serialized(sweep(specs, workers=0))
+    clean = serialized(run_sweep(specs, workers=0))
     assert resumed["results"] == clean
 
 

@@ -1,69 +1,60 @@
 """Harness tests: session caching, report formatting, cheap experiments."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.arch.config import default_config
 from repro.harness import (
     ExperimentSession,
-    Runner,
     format_report,
     format_result,
     format_table,
 )
-from repro.harness.experiments import ExperimentResult, fig9, fig11, table2
+from repro.harness.experiments import (
+    ExperimentResult,
+    fig9,
+    fig11,
+    fleet,
+    gadget_window,
+    table2,
+)
 from repro.harness import paper
+from repro.harness.report import results_to_dict
+from repro.security import AdversarySpec, RaceSpec, RotationPolicy
 
 
 @pytest.fixture(scope="module")
-def runner():
+def session():
     # Small budget: these tests exercise plumbing, not steady-state stats.
     return ExperimentSession(max_instructions=20_000)
 
 
 class TestSessionCaching:
-    def test_program_cached(self, runner):
-        spec = runner.spec("mcf")
-        assert runner.program_for(spec) is runner.program_for(spec)
+    def test_program_cached(self, session):
+        spec = session.spec("mcf")
+        assert session.program_for(spec) is session.program_for(spec)
 
-    def test_sim_cached_per_mode_and_drc(self, runner):
-        a = runner.run(runner.spec("mcf", "baseline"))
-        b = runner.run(runner.spec("mcf", "baseline"))
+    def test_sim_cached_per_mode_and_drc(self, session):
+        a = session.run(session.spec("mcf", "baseline"))
+        b = session.run(session.spec("mcf", "baseline"))
         assert a is b
-        v64 = runner.run(runner.spec("mcf", "vcfr", drc_entries=64))
-        v128 = runner.run(runner.spec("mcf", "vcfr", drc_entries=128))
+        v64 = session.run(session.spec("mcf", "vcfr", drc_entries=64))
+        v128 = session.run(session.spec("mcf", "vcfr", drc_entries=128))
         assert v64 is not v128
 
-    def test_non_vcfr_ignores_drc_size(self, runner):
-        a = runner.run(runner.spec("mcf", "baseline", drc_entries=64))
-        b = runner.run(runner.spec("mcf", "baseline", drc_entries=512))
+    def test_non_vcfr_ignores_drc_size(self, session):
+        a = session.run(session.spec("mcf", "baseline", drc_entries=64))
+        b = session.run(session.spec("mcf", "baseline", drc_entries=512))
         assert a is b
 
-    def test_emulation_cached(self, runner):
-        assert runner.emulate("mcf") is runner.emulate("mcf")
+    def test_emulation_cached(self, session):
+        assert session.emulate("mcf") is session.emulate("mcf")
 
-    def test_modes_agree_architecturally(self, runner):
-        base = runner.run(runner.spec("mcf", "baseline"))
-        vcfr = runner.run(runner.spec("mcf", "vcfr"))
+    def test_modes_agree_architecturally(self, session):
+        base = session.run(session.spec("mcf", "baseline"))
+        vcfr = session.run(session.spec("mcf", "vcfr"))
         assert base.instructions == vcfr.instructions
-
-
-class TestLegacyRunnerShim:
-    """Runner keeps the pre-session surface alive, with warnings."""
-
-    def test_sim_warns_and_matches_run(self):
-        legacy = Runner(max_instructions=20_000)
-        with pytest.warns(DeprecationWarning, match="Runner.sim"):
-            via_shim = legacy.sim("mcf", "vcfr", drc_entries=64)
-        direct = legacy.run(legacy.spec("mcf", "vcfr", drc_entries=64))
-        assert via_shim is direct
-
-    def test_program_warns_and_matches_program_for(self):
-        legacy = Runner(max_instructions=20_000)
-        with pytest.warns(DeprecationWarning, match="Runner.program"):
-            via_shim = legacy.program("mcf")
-        assert via_shim is legacy.program_for(legacy.spec("mcf"))
-
-    def test_runner_is_a_session(self):
-        assert issubclass(Runner, ExperimentSession)
 
 
 class TestReportFormatting:
@@ -95,21 +86,65 @@ class TestReportFormatting:
 class TestCheapExperiments:
     """Static experiments run fast enough for the unit suite."""
 
-    def test_table2(self, runner):
-        result = table2(runner)
+    def test_table2(self, session):
+        result = table2(session)
         assert result.passed, result.checks
         assert len(result.rows) == len(paper.SPEC_APPS)
 
-    def test_fig9(self, runner):
-        result = fig9(runner)
+    def test_fig9(self, session):
+        result = fig9(session)
         assert result.passed
         assert all(row[1] >= row[2] for row in result.rows)
 
-    def test_fig11(self, runner):
-        result = fig11(runner)
+    def test_fig11(self, session):
+        result = fig11(session)
         assert result.passed
         # Every app removes at least 90% of its gadgets.
         assert all(row[3] >= 90.0 for row in result.rows)
+
+
+class TestKnobInvariance:
+    """Host-tuning knobs (execution tiers) never change a published
+    table, and the race/fleet experiments run on the session's machine
+    model."""
+
+    CONFIGS = {
+        "default": None,
+        "no-traces": replace(default_config(), tracepath=False),
+        "reference-loop": replace(default_config(), fastpath=False),
+    }
+
+    def test_race_and_fleet_tables_ignore_tier_knobs(self):
+        docs = {}
+        for name, config in self.CONFIGS.items():
+            session = ExperimentSession(config=config)
+            docs[name] = results_to_dict({
+                "gadget_window": gadget_window(session),
+                "fleet": fleet(session),
+            })
+        assert docs["default"]["gadget_window"]["passed"]
+        assert docs["default"]["fleet"]["passed"]
+        assert docs["no-traces"] == docs["default"]
+        assert docs["reference-loop"] == docs["default"]
+
+    def test_race_sweep_uses_the_session_config(self):
+        # Trace invalidations are host telemetry: a session whose machine
+        # has no trace tier must report none, proving its config reached
+        # the race.
+        spec = RaceSpec(
+            policy=RotationPolicy("periodic", period_instructions=5_000),
+            adversary=AdversarySpec(disclosure_rate=0.5,
+                                    mappings_per_disclosure=12),
+            max_instructions=40_000,
+        )
+        counts = {}
+        for name in ("default", "no-traces"):
+            session = ExperimentSession(config=self.CONFIGS[name])
+            (race,) = session.race_sweep([spec])
+            counts[name] = (race.rotations, race.trace_invalidations)
+        assert counts["default"][0] == counts["no-traces"][0] > 0
+        assert counts["default"][1] > 0
+        assert counts["no-traces"][1] == 0
 
 
 class TestPaperReference:

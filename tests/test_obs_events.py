@@ -150,18 +150,6 @@ class TestCheckpointCadence:
         assert run_end["instructions"] == result.instructions
         assert run_end["checkpoints"] == len(result.checkpoints)
 
-    def test_run_profiled_attributes_host_time(self):
-        image = assemble(LOOPY)
-        cpu = CycleCPU(image, make_flow("baseline", image=image))
-        prof = PhaseProfiler()
-        result = cpu.run_profiled(profiler=prof)
-        assert result.finished
-        names = set(prof.stats)
-        assert {"sim.decode", "sim.fetch-translate", "sim.execute",
-                "sim.cache-data", "sim.branch-predict", "sim.drc",
-                "sim.retire"} <= names
-        assert prof.total_seconds > 0.0
-
 
 class TestTracerJsonl:
     def test_to_jsonl_round_trip(self, tmp_path):

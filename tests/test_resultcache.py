@@ -10,15 +10,16 @@ import pytest
 
 from repro.arch.config import default_config
 from repro.arch.simstats import Checkpoint, SimResult
-from repro.harness import ResultCache, Runner, RunSpec
+from repro.harness import ExperimentSession, ResultCache, RunSpec
 from repro.isa.syscalls import OutputStream
 
 
 @pytest.fixture(scope="module")
 def sim_result():
     """A real simulation result with every optional field populated."""
-    runner = Runner(max_instructions=4000, checkpoint_interval=500)
-    return runner.run(runner.spec("mcf", "vcfr", 64))
+    session = ExperimentSession(max_instructions=4000,
+                                checkpoint_interval=500)
+    return session.run(session.spec("mcf", "vcfr", 64))
 
 
 class TestSimResultSerialization:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import Runner, RunSpec, sweep
+from repro.harness import ExperimentSession, RunSpec
 from repro.harness.experiments import suite_specs, table1
 from repro.obs.events import EventLog, MemorySink
 from repro.obs.metrics import get_registry
@@ -21,27 +21,33 @@ def result_dicts(outcomes):
     return [outcome.result.as_dict() for outcome in outcomes]
 
 
+def run_sweep(specs, **kwargs):
+    """One batch sweep through a fresh session."""
+    return ExperimentSession(**kwargs).sweep(specs)
+
+
 @pytest.fixture(scope="module")
 def sequential_outcomes():
-    return sweep(list(SPECS), workers=0)
+    return run_sweep(list(SPECS), workers=0)
 
 
 class TestParallelDeterminism:
     def test_pool_matches_sequential_bit_for_bit(self, sequential_outcomes):
-        pooled = sweep(list(SPECS), workers=2)
+        pooled = run_sweep(list(SPECS), workers=2)
         assert result_dicts(pooled) == result_dicts(sequential_outcomes)
 
     def test_table1_rows_identical_under_workers(self):
         rows_by_workers = []
         for workers in (0, 2):
-            runner = Runner(max_instructions=BUDGET, workers=workers)
-            runner.prefetch(suite_specs(runner, ["table1"]))
-            rows_by_workers.append(table1(runner).rows)
+            session = ExperimentSession(max_instructions=BUDGET,
+                                        workers=workers)
+            session.prefetch(suite_specs(session, ["table1"]))
+            rows_by_workers.append(table1(session).rows)
         assert rows_by_workers[0] == rows_by_workers[1]
 
     def test_duplicate_specs_share_one_execution(self):
         spec = RunSpec("mcf", "baseline", max_instructions=BUDGET)
-        outcomes = sweep([spec, spec, spec.normalized()], workers=0)
+        outcomes = run_sweep([spec, spec, spec.normalized()], workers=0)
         assert len(outcomes) == 3
         assert outcomes[0].result is outcomes[1].result is outcomes[2].result
 
@@ -50,8 +56,8 @@ class TestObservabilityMerge:
     def test_worker_events_replayed_into_parent_log(self):
         sink = MemorySink()
         log = EventLog(sink)
-        sweep(list(SPECS), workers=2, events=log,
-              checkpoint_interval=1000)
+        run_sweep(list(SPECS), workers=2, events=log,
+                  checkpoint_interval=1000)
         kinds = [record["kind"] for record in sink.records]
         assert kinds.count("run_start") == len(SPECS)
         assert kinds.count("run_end") == len(SPECS)
@@ -68,10 +74,9 @@ class TestObservabilityMerge:
         registry = get_registry()
         registry.reset()
         log = EventLog(MemorySink())
-        from repro.obs.profile import PhaseProfiler
-
-        profiler = PhaseProfiler()
-        sweep(list(SPECS), workers=2, events=log, profiler=profiler)
+        session = ExperimentSession(workers=2, events=log)
+        session.sweep(list(SPECS))
+        profiler = session.profiler
         assert profiler.stats["simulate"].calls == len(SPECS)
         assert profiler.stats["simulate"].seconds > 0
         assert registry.counter("sim.runs").value == len(SPECS)
@@ -83,12 +88,14 @@ class TestObservabilityMerge:
 class TestWarmCache:
     def test_warm_rerun_simulates_nothing(self, tmp_path,
                                           sequential_outcomes):
-        cold = Runner(max_instructions=BUDGET, cache_dir=str(tmp_path))
+        cold = ExperimentSession(max_instructions=BUDGET,
+                                 cache_dir=str(tmp_path))
         cold.prefetch(SPECS)
         assert cold.cache.stats()["writes"] == len(SPECS)
         assert cold.profiler.stats["simulate"].calls == len(SPECS)
 
-        warm = Runner(max_instructions=BUDGET, cache_dir=str(tmp_path))
+        warm = ExperimentSession(max_instructions=BUDGET,
+                                 cache_dir=str(tmp_path))
         warm.prefetch(SPECS)
         assert "simulate" not in warm.profiler.stats
         assert warm.cache.stats() == {
@@ -98,11 +105,11 @@ class TestWarmCache:
             assert warm.run(spec).as_dict() == sequential.result.as_dict()
 
     def test_parallel_warm_rerun_also_hits(self, tmp_path):
-        cold = Runner(max_instructions=BUDGET, workers=2,
-                      cache_dir=str(tmp_path))
+        cold = ExperimentSession(max_instructions=BUDGET, workers=2,
+                                 cache_dir=str(tmp_path))
         cold.prefetch(SPECS)
-        warm = Runner(max_instructions=BUDGET, workers=2,
-                      cache_dir=str(tmp_path))
+        warm = ExperimentSession(max_instructions=BUDGET, workers=2,
+                                 cache_dir=str(tmp_path))
         warm.prefetch(SPECS)
         assert warm.cache.stats()["hits"] == len(SPECS)
         assert "simulate" not in warm.profiler.stats
@@ -110,15 +117,15 @@ class TestWarmCache:
 
 class TestRunnerIntegration:
     def test_run_and_prefetch_share_memo(self):
-        runner = Runner(max_instructions=BUDGET)
-        runner.prefetch(SPECS)
-        first = runner.run(SPECS[0])
-        assert runner.run(RunSpec("mcf", "baseline",
-                                  max_instructions=BUDGET)) is first
+        session = ExperimentSession(max_instructions=BUDGET)
+        session.prefetch(SPECS)
+        first = session.run(SPECS[0])
+        assert session.run(RunSpec("mcf", "baseline",
+                                   max_instructions=BUDGET)) is first
 
     def test_emulate_specs_flow_through_prefetch(self):
-        runner = Runner(max_instructions=2000, workers=2)
-        spec = runner.spec("mcf", "emulate")
-        runner.prefetch([spec])
-        result = runner.emulate("mcf")
+        session = ExperimentSession(max_instructions=2000, workers=2)
+        spec = session.spec("mcf", "emulate")
+        session.prefetch([spec])
+        result = session.emulate("mcf")
         assert result.host_instructions > result.run.icount
